@@ -12,9 +12,26 @@
     [lb2] combines: the whole graph and every connected component
     (always), exact subset enumeration on components of at most
     [exact_limit] nodes (subset-DP, [O(2^k k)]), and randomized greedy
-    local search elsewhere.  Every value returned is a {e certified}
-    lower bound — it is the [Γ]-term of some concrete subset — only
-    its tightness is best-effort. *)
+    local search elsewhere ({!local_search}).  Every value returned is
+    a {e certified} lower bound — it is the [Γ]-term of some concrete
+    subset — only its tightness is best-effort.
+
+    Cost: the component terms take one pass over the edges plus the
+    subset DP; the search takes [O(n)] set-up and then, per iteration,
+    at most [min n 40] steps of [O(frontier + deg x)] each, where [x]
+    is the node that joins.
+
+    {b Ordering contract.}  The search's witness, and the draws it
+    leaves on the caller's RNG, are pinned by the golden hetero
+    schedules, so its tie-breaks are part of its behaviour: among the
+    frontier nodes of highest gain it takes the one a gain [Hashtbl]
+    rebuilt at each step would fold first.  That is the lowest bucket
+    [Hashtbl.hash x land (b - 1)], where [b] starts at 16 and doubles
+    while the frontier exceeds [2b]; within a bucket, the node a scan
+    of the members (in table order, each member's edges in incidence
+    order) meets last.  This relies on [Hashtbl] not being randomized:
+    nothing in the repository calls [Hashtbl.randomize], and
+    [OCAMLRUNPARAM] must not set [R]. *)
 
 val lb1 : Instance.t -> int
 
@@ -35,6 +52,15 @@ val lb2 :
 val lb2_witness :
   ?rng:Random.State.t -> ?exact_limit:int -> ?search_iters:int ->
   Instance.t -> int * int list
+
+(** [local_search inst rng iters] is the randomized greedy
+    densest-subset search of {!lb2}: [iters] times, draw one seed edge
+    with [Random.State.int rng m] and grow a subset from it by up to
+    [min n 40] frontier nodes, highest gain first (ties as in the
+    ordering contract above).  Returns the best [Γ]-term seen and its
+    subset, listed in reverse fold order of the member table; [(0, [])]
+    on an edgeless graph, which draws nothing. *)
+val local_search : Instance.t -> Random.State.t -> int -> int * int list
 
 (** [max (lb1 inst) (lb2 inst)] — the bound every experiment reports
     ratios against. *)
