@@ -1,11 +1,10 @@
 type adj = { offsets : int array; arc_ids : int array }
 
 type t = {
-  mutable n : int;
+  n : int;
   dsts : int Mgraph.Vec.t;          (* per arc *)
   caps : int Mgraph.Vec.t;          (* residual capacity, mutated by push *)
-  caps0 : int Mgraph.Vec.t;         (* original capacity, for reset *)
-  mutable adj : int Mgraph.Vec.t array;  (* outgoing arc ids per node *)
+  adj : int Mgraph.Vec.t array;     (* outgoing arc ids per node *)
   srcs : int Mgraph.Vec.t;          (* per arc *)
   mutable frozen : adj option;      (* flat adjacency cache, see freeze *)
 }
@@ -18,27 +17,12 @@ let create ~n =
     n;
     dsts = Vec.create ~dummy:(-1) ();
     caps = Vec.create ~dummy:0 ();
-    caps0 = Vec.create ~dummy:0 ();
-    adj = Array.init (max n 1) (fun _ -> Vec.create ~dummy:(-1) ());
+    adj = Array.init n (fun _ -> Vec.create ~dummy:(-1) ());
     srcs = Vec.create ~dummy:(-1) ();
     frozen = None;
   }
 
 let n_nodes net = net.n
-
-let add_node net =
-  let id = net.n in
-  net.n <- net.n + 1;
-  net.frozen <- None;
-  let cap = Array.length net.adj in
-  if net.n > cap then begin
-    let adj =
-      Array.init (max (2 * cap) net.n) (fun i ->
-          if i < cap then net.adj.(i) else Vec.create ~dummy:(-1) ())
-    in
-    net.adj <- adj
-  end;
-  id
 
 let check_node net v = if v < 0 || v >= net.n then invalid_arg "Flow_network: bad node"
 
@@ -47,7 +31,6 @@ let add_half net ~src ~dst ~cap =
   ignore (Vec.push net.dsts dst);
   ignore (Vec.push net.srcs src);
   ignore (Vec.push net.caps cap);
-  ignore (Vec.push net.caps0 cap);
   ignore (Vec.push net.adj.(src) a);
   a
 
@@ -72,11 +55,7 @@ let push net a x =
   Vec.set net.caps a (r - x);
   Vec.set net.caps (a lxor 1) (Vec.get net.caps (a lxor 1) + x)
 
-let out_arcs net v =
-  check_node net v;
-  Vec.to_array net.adj.(v)
-
-(* Arc ids per row appear in insertion order, matching [out_arcs]. *)
+(* Arc ids per row appear in insertion order. *)
 let freeze net =
   match net.frozen with
   | Some a -> a
@@ -102,8 +81,3 @@ let freeze net =
       a
 
 let raw net = (Vec.unsafe_data net.dsts, Vec.unsafe_data net.caps)
-
-let reset net =
-  for a = 0 to n_arcs net - 1 do
-    Vec.set net.caps a (Vec.get net.caps0 a)
-  done

@@ -10,9 +10,6 @@ type t
 val create : n:int -> t
 val n_nodes : t -> int
 
-(** Adds one more node, returns its id. *)
-val add_node : t -> int
-
 (** [add_arc net ~src ~dst ~cap] returns the id of the forward arc.
     @raise Invalid_argument on a negative capacity or bad endpoint. *)
 val add_arc : t -> src:int -> dst:int -> cap:int -> int
@@ -35,16 +32,14 @@ val flow : t -> int -> int
     @raise Invalid_argument if [x] exceeds the residual. *)
 val push : t -> int -> int -> unit
 
-(** Arc ids leaving a node (forward and residual alike). *)
-val out_arcs : t -> int -> int array
-
 (** Flat adjacency: row [v] is
-    [arc_ids.(offsets.(v)) .. arc_ids.(offsets.(v+1) - 1)], in the
-    order {!out_arcs} returns.  [offsets] has length [n+1]. *)
+    [arc_ids.(offsets.(v)) .. arc_ids.(offsets.(v+1) - 1)], the arcs
+    leaving [v] (forward and residual alike) in insertion order.
+    [offsets] has length [n+1]. *)
 type adj = { offsets : int array; arc_ids : int array }
 
-(** The flat adjacency view, built once and cached; {!add_arc} and
-    {!add_node} drop the cache.  The arrays must not be written. *)
+(** The flat adjacency view, built once and cached; {!add_arc} drops
+    the cache.  The arrays must not be written. *)
 val freeze : t -> adj
 
 (** [(dsts, caps)] backing arrays for hot kernels: index by arc id,
@@ -53,6 +48,3 @@ val freeze : t -> adj
     {!push}.  Both arrays are invalidated by the next {!add_arc};
     capture them per call. *)
 val raw : t -> int array * int array
-
-(** Resets all flow to zero. *)
-val reset : t -> unit

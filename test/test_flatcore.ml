@@ -131,6 +131,166 @@ let test_golden_replay () =
     rows
 
 (* ------------------------------------------------------------------ *)
+(* even-opt: one reused network vs a fresh network per round *)
+
+let test_jobs =
+  match Sys.getenv_opt "TEST_JOBS" with
+  | Some s -> ( match int_of_string_opt s with Some n when n > 1 -> n | _ -> 2)
+  | None -> 2
+
+module Fn = Netflow.Flow_network
+
+(* Textbook Dinic over a Flow_network, as max-flow ran before the
+   network was reused across rounds: BFS from [s] over every row, [t]
+   included, then repeated blocking-flow DFS calls from [s]. *)
+let reference_max_flow net ~s ~t =
+  let n = Fn.n_nodes net in
+  let { Fn.offsets; arc_ids } = Fn.freeze net in
+  let dsts, caps = Fn.raw net in
+  let level = Array.make n (-1) and cursor = Array.make n 0 in
+  let q = Array.make n 0 in
+  let rec dfs u limit =
+    if u = t then limit
+    else begin
+      let pushed = ref 0 and continue = ref true in
+      while !continue && cursor.(u) < offsets.(u + 1) do
+        let a = arc_ids.(cursor.(u)) in
+        let v = dsts.(a) in
+        if caps.(a) > 0 && level.(v) = level.(u) + 1 then begin
+          let got = dfs v (min (limit - !pushed) caps.(a)) in
+          if got > 0 then begin
+            caps.(a) <- caps.(a) - got;
+            caps.(a lxor 1) <- caps.(a lxor 1) + got;
+            pushed := !pushed + got;
+            if !pushed = limit then continue := false
+          end
+          else cursor.(u) <- cursor.(u) + 1
+        end
+        else cursor.(u) <- cursor.(u) + 1
+      done;
+      !pushed
+    end
+  in
+  let total = ref 0 and continue = ref true in
+  while !continue do
+    Array.fill level 0 n (-1);
+    level.(s) <- 0;
+    q.(0) <- s;
+    let head = ref 0 and tail = ref 1 in
+    while !head < !tail do
+      let u = q.(!head) in
+      incr head;
+      for p = offsets.(u) to offsets.(u + 1) - 1 do
+        let a = arc_ids.(p) in
+        let v = dsts.(a) in
+        if level.(v) < 0 && caps.(a) > 0 then begin
+          level.(v) <- level.(u) + 1;
+          q.(!tail) <- v;
+          incr tail
+        end
+      done
+    done;
+    if level.(t) < 0 then continue := false
+    else begin
+      Array.blit offsets 0 cursor 0 n;
+      let rec drain () =
+        let got = dfs s max_int in
+        if got > 0 then begin
+          total := !total + got;
+          drain ()
+        end
+      in
+      drain ()
+    end
+  done;
+  !total
+
+(* Step 4 as it ran before the reuse: a fresh Figure-3 network per
+   round over that round's edges, the non-selected edges kept in
+   reverse order for the next round. *)
+let reference_even_opt inst =
+  let m = M.Instance.n_items inst in
+  if m = 0 then M.Schedule.of_rounds [||]
+  else begin
+    let n = M.Instance.n_disks inst in
+    let delta = M.Lower_bounds.lb1 inst in
+    let srcs, dsts = M.Even_optimal.padded_orientation inst delta in
+    let half = Array.init n (fun v -> M.Instance.cap inst v / 2) in
+    let target = Array.fold_left ( + ) 0 half in
+    let remaining = ref (Array.init (Array.length srcs) Fun.id) in
+    let rounds = Array.make delta [] in
+    for r = 0 to delta - 1 do
+      let edges = !remaining in
+      let net = Fn.create ~n:(2 + (2 * n)) in
+      Array.iteri
+        (fun l c -> ignore (Fn.add_arc net ~src:0 ~dst:(2 + l) ~cap:c))
+        half;
+      Array.iteri
+        (fun v c -> ignore (Fn.add_arc net ~src:(2 + n + v) ~dst:1 ~cap:c))
+        half;
+      let first = Fn.n_arcs net in
+      Array.iter
+        (fun e ->
+          ignore (Fn.add_arc net ~src:(2 + srcs.(e)) ~dst:(2 + n + dsts.(e)) ~cap:1))
+        edges;
+      if reference_max_flow net ~s:0 ~t:1 <> target then
+        Alcotest.failf "reference: round %d not exact" r;
+      let sel i = Fn.flow net (first + (2 * i)) = 1 in
+      Array.iteri
+        (fun i e -> if sel i && e < m then rounds.(r) <- e :: rounds.(r))
+        edges;
+      let kept = ref [] in
+      Array.iteri (fun i e -> if not (sel i) then kept := e :: !kept) edges;
+      remaining := Array.of_list !kept
+    done;
+    rounds |> Array.to_list
+    |> List.filter (fun r -> r <> [])
+    |> Array.of_list |> M.Schedule.of_rounds
+  end
+
+(* (kind, seed, size, parity): an all-even G(n,m), power-law or
+   fuzz-size "huge" instance whose delta = LB1 has the given parity —
+   the rounds alternate their edge order, so both parities end on a
+   different direction *)
+let even_opt_gen =
+  QCheck2.Gen.(
+    quad (int_bound 2) (int_range 1 999_999) (int_range 4 12) (int_bound 1))
+
+let even_opt_instance (kind, seed, size, parity) =
+  let build seed =
+    match kind with
+    | 0 ->
+        let rng = rng_of_int seed in
+        let n = 4 * size in
+        M.Instance.random_caps rng
+          (Mgraph.Graph_gen.gnm rng ~n ~m:(n * (2 + (seed mod 9))))
+          ~choices:[ 2; 4 ]
+    | 1 ->
+        let rng = rng_of_int seed in
+        let n = 3 * size in
+        M.Instance.random_caps rng
+          (Mgraph.Graph_gen.power_law rng ~n ~m:(n * 6))
+          ~choices:[ 2; 4; 6 ]
+    | _ -> (
+        match Gen.family_of_string "huge" with
+        | Some fam -> Gen.instance fam ~seed ~size
+        | None -> Alcotest.fail "gen family \"huge\" missing")
+  in
+  (* the next seeds until delta has the wanted parity *)
+  let rec find seed tries =
+    let inst = build seed in
+    if M.Lower_bounds.lb1 inst land 1 = parity || tries = 0 then inst
+    else find (seed + 1) (tries - 1)
+  in
+  find seed 64
+
+let prop_even_opt_reuse spec =
+  let inst = even_opt_instance spec in
+  let expect = M.Schedule.to_string (reference_even_opt inst) in
+  let at jobs = M.Schedule.to_string (M.Even_optimal.schedule ~jobs inst) in
+  at 1 = expect && at test_jobs = expect
+
+(* ------------------------------------------------------------------ *)
 (* arena discipline *)
 
 let test_arena_poisoning () =
@@ -184,6 +344,14 @@ let () =
             prop_incident_order;
         ] );
       ("golden", [ Alcotest.test_case "replay corpus" `Quick test_golden_replay ]);
+      ( "even-opt",
+        [
+          qtest ~count:60
+            (Printf.sprintf
+               "reused network = fresh network per round (jobs 1, %d)"
+               test_jobs)
+            even_opt_gen prop_even_opt_reuse;
+        ] );
       ( "arena",
         [
           Alcotest.test_case "poisoning" `Quick test_arena_poisoning;
