@@ -241,6 +241,134 @@ let test_tamper_final_placement () =
          (List.map C.service_violation_to_string v.C.svc_violations))
 
 (* ------------------------------------------------------------------ *)
+(* Serve golden                                                        *)
+
+(* Fixed streams shaped like a production epoch loop: 32 disks with
+   caps 1..5, 3,000 items with Zipf(1.1) demands laid out by
+   [Layout.balance], and 100 tenant-tagged requests — mostly retargets
+   to active disks, two 0.3% demand shifts, and one disk add, drain
+   and failure — run with 8-round epochs and 1% transfer faults.  Each
+   row of data/golden/serve.tsv pins one seed's rendered report and
+   statuses and its flight log; the rows were generated before the
+   service's epoch loop was made to scale with its diff, so any drift
+   in a schedule, an RNG draw or a settlement shows here. *)
+let golden_stream seed =
+  let rng = Random.State.make [| seed; 0x901d |] in
+  let n_disks = 32 and n_items = 3000 and n_requests = 100 in
+  let caps = Array.init n_disks (fun _ -> 1 + Random.State.int rng 5) in
+  let demands = Workloads.Demand.demands rng ~n:n_items ~s:1.1 in
+  let placement =
+    Storsim.Placement.to_array
+      (Workloads.Layout.balance ~demands
+         ~weights:(Array.map float_of_int caps))
+  in
+  let active = ref (List.init n_disks Fun.id) in
+  let any_active () =
+    List.nth !active (Random.State.int rng (List.length !active))
+  in
+  let retire () =
+    let d = any_active () in
+    active := List.filter (( <> ) d) !active;
+    d
+  in
+  let requests =
+    List.init n_requests (fun k ->
+        let trigger =
+          match k with
+          | 15 | 65 -> Service.Demand_shift { fraction = 0.003 }
+          | 35 ->
+              active := n_disks :: !active;
+              Service.Add_disk { cap = 2 + Random.State.int rng 3 }
+          | 50 -> Service.Remove_disk { disk = retire () }
+          | 80 -> Service.Fail_disk { disk = retire () }
+          | _ ->
+              Service.Retarget
+                (List.init
+                   (1 + Random.State.int rng 6)
+                   (fun _ -> (Random.State.int rng n_items, any_active ())))
+        in
+        { Service.at = 2 * k; tenant = Random.State.int rng 4; trigger })
+  in
+  ({ Service.caps; placement; demands }, requests)
+
+let golden_run ~jobs seed =
+  let cluster, requests = golden_stream seed in
+  let policy ~epoch =
+    Storsim.Fault.engine_policy ~fault_rate:0.01
+      ~seed:((seed * 7919) + epoch)
+      ()
+  in
+  Service.run ~jobs ~epoch_rounds:8 ~rng_seed:seed ~policy cluster ~requests ()
+
+(* the flight log, item by item: every epoch's base, and per round the
+   items attempted, completed, crashed and slowed *)
+let render_log r =
+  let b = Buffer.create 4096 in
+  let items ep l =
+    String.concat "," (List.map (fun e -> string_of_int ep.C.se_items.(e)) l)
+  in
+  List.iter
+    (fun ep ->
+      Printf.bprintf b "epoch %d idle %d\n" ep.C.se_base ep.C.se_idle;
+      List.iter
+        (fun (er : C.exec_round) ->
+          Printf.bprintf b "%s|%s|%s|%s\n" (items ep er.C.attempted)
+            (items ep er.C.completed)
+            (String.concat "," (List.map string_of_int er.C.crashed))
+            (String.concat ","
+               (List.map (fun (d, c) -> Printf.sprintf "%d:%d" d c) er.C.slowed)))
+        ep.C.se_log)
+    r.Service.execution.C.svc_epochs;
+  Buffer.contents b
+
+let golden_seeds = [ 1; 2; 3; 4; 5; 6; 7; 8 ]
+
+let golden_row ~jobs seed =
+  let r = golden_run ~jobs seed in
+  Printf.sprintf "%d\t%d\t%d\t%s\t%s" seed r.Service.epochs
+    r.Service.transfers
+    (Digest.to_hex (Digest.string (render r)))
+    (Digest.to_hex (Digest.string (render_log r)))
+
+let golden_header = "# seed\tepochs\ttransfers\treport_md5\tlog_md5\n"
+
+let serve_golden_path =
+  List.find_opt Sys.file_exists
+    [
+      "data/golden/serve.tsv";
+      "../data/golden/serve.tsv";
+      "../../data/golden/serve.tsv";
+    ]
+
+let test_serve_golden ~jobs () =
+  let path =
+    match serve_golden_path with
+    | Some p -> p
+    | None -> Alcotest.fail "golden corpus data/golden/serve.tsv not found"
+  in
+  let rows =
+    In_channel.with_open_bin path In_channel.input_all
+    |> String.split_on_char '\n'
+    |> List.filter (fun l -> l <> "" && l.[0] <> '#')
+  in
+  Alcotest.(check int) "one row per seed" (List.length golden_seeds)
+    (List.length rows);
+  List.iter2
+    (fun seed row ->
+      Alcotest.(check string)
+        (Printf.sprintf "seed %d at --jobs %d" seed jobs)
+        row (golden_row ~jobs seed))
+    golden_seeds rows
+
+(* ------------------------------------------------------------------ *)
+
+let () =
+  (* regenerate the corpus: test_service.exe --write-serve-golden *)
+  if Array.exists (( = ) "--write-serve-golden") Sys.argv then begin
+    print_string golden_header;
+    List.iter (fun s -> print_endline (golden_row ~jobs:1 s)) golden_seeds;
+    exit 0
+  end
 
 let () =
   Alcotest.run "service"
@@ -266,5 +394,12 @@ let () =
             test_tamper_duplicate_completion;
           Alcotest.test_case "forged final placement -> Svc_final_mismatch"
             `Quick test_tamper_final_placement;
+        ] );
+      ( "golden",
+        [
+          Alcotest.test_case "serve streams replay at --jobs 1" `Quick
+            (test_serve_golden ~jobs:1);
+          Alcotest.test_case "serve streams replay at --jobs 2" `Quick
+            (test_serve_golden ~jobs:2);
         ] );
     ]
