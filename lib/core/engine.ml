@@ -147,11 +147,7 @@ let run ?rng ?(jobs = 1) ?(max_retries = 5) ?(backoff_base = 1)
             (Array.sub !future !fp (len - !fp))
       in
       Array.iter (List.iter (fun e -> in_old.(e) <- true)) old_rounds;
-      let comps =
-        List.filter
-          (fun c -> Instance.n_items c.Instance.instance > 0)
-          (Instance.decompose sub_inst)
-      in
+      let comps = List.map snd (snd (Instance.active_components sub_inst)) in
       (* component id per global eligible edge, and the dirty test:
          a component re-solves when a disk of its changed (capacity,
          crash fallout) or when it holds an edge the old plan no

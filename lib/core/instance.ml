@@ -183,18 +183,25 @@ let of_string s =
 
 type component = { instance : t; nodes : int array; edges : int array }
 
-let decompose t =
+(* [split ~edgeless t] is the component count and the components that
+   hold items, each with its index; with [edgeless] the item-free ones
+   (isolated disks) are built too. *)
+let split ~edgeless t =
   let g = t.graph in
   let n = Multigraph.n_nodes g in
   let comp, k = Mgraph.Traversal.components g in
   if k <= 1 then
-    [
-      {
-        instance = t;
-        nodes = Array.init n Fun.id;
-        edges = Array.init (Multigraph.n_edges g) Fun.id;
-      };
-    ]
+    ( 1,
+      if edgeless || Multigraph.n_edges g > 0 then
+        [
+          ( 0,
+            {
+              instance = t;
+              nodes = Array.init n Fun.id;
+              edges = Array.init (Multigraph.n_edges g) Fun.id;
+            } );
+        ]
+      else [] )
   else begin
     (* local node ids follow the original node order within each
        component, so the mapping arrays are monotone — easier to test
@@ -205,34 +212,51 @@ let decompose t =
       local.(v) <- sizes.(comp.(v));
       sizes.(comp.(v)) <- sizes.(comp.(v)) + 1
     done;
-    let graphs = Array.init k (fun c -> Multigraph.create ~n:sizes.(c) ()) in
-    let nodes = Array.init k (fun c -> Array.make sizes.(c) (-1)) in
+    let n_edges = Array.make k 0 in
+    Multigraph.iter_edges g (fun { Multigraph.u; _ } ->
+        n_edges.(comp.(u)) <- n_edges.(comp.(u)) + 1);
+    let built c = edgeless || n_edges.(c) > 0 in
+    let unbuilt = Multigraph.create () in
+    let graphs =
+      Array.init k (fun c ->
+          if built c then Multigraph.create ~n:sizes.(c) () else unbuilt)
+    in
+    let nodes =
+      Array.init k (fun c ->
+          if built c then Array.make sizes.(c) (-1) else [||])
+    in
     for v = 0 to n - 1 do
-      nodes.(comp.(v)).(local.(v)) <- v
+      if built comp.(v) then nodes.(comp.(v)).(local.(v)) <- v
     done;
-    let edges = Array.make k [] in
-    (* iter_edges visits in increasing id order; accumulate reversed *)
+    let edges = Array.init k (fun c -> Array.make n_edges.(c) (-1)) in
+    (* iter_edges visits in increasing id order, so every edge map is
+       filled in increasing order *)
     Multigraph.iter_edges g (fun { Multigraph.id; u; v } ->
         let c = comp.(u) in
-        ignore (Multigraph.add_edge graphs.(c) local.(u) local.(v));
-        edges.(c) <- id :: edges.(c));
-    List.init k (fun c ->
-        let caps =
-          Array.map (fun v -> t.caps.(v)) nodes.(c)
-        in
-        let edges = Array.of_list (List.rev edges.(c)) in
-        let instance =
-          match t.sla with
-          | None -> create graphs.(c) ~caps
-          | Some { groups; weights } ->
-              (* group ids stay global: every component keeps the full
-                 weight table so per-group claims merge trivially *)
-              create graphs.(c) ~caps
-                ~groups:(Array.map (fun e -> groups.(e)) edges)
-                ~weights
-        in
-        { instance; nodes = nodes.(c); edges })
+        let e = Multigraph.add_edge graphs.(c) local.(u) local.(v) in
+        edges.(c).(e) <- id);
+    let component c =
+      let caps = Array.map (fun v -> t.caps.(v)) nodes.(c) in
+      let instance =
+        match t.sla with
+        | None -> create graphs.(c) ~caps
+        | Some { groups; weights } ->
+            (* group ids stay global: every component keeps the full
+               weight table so per-group claims merge trivially *)
+            create graphs.(c) ~caps
+              ~groups:(Array.map (fun e -> groups.(e)) edges.(c))
+              ~weights
+      in
+      { instance; nodes = nodes.(c); edges = edges.(c) }
+    in
+    ( k,
+      List.filter_map
+        (fun c -> if built c then Some (c, component c) else None)
+        (List.init k Fun.id) )
   end
+
+let active_components t = split ~edgeless:false t
+let decompose t = List.map snd (snd (split ~edgeless:true t))
 
 let pp ppf t =
   Format.fprintf ppf "@[<v>instance: %d disks, %d items%s@," (n_disks t)

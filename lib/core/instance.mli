@@ -96,4 +96,12 @@ type component = {
     global group ids and the full weight table. *)
 val decompose : t -> component list
 
+(** [active_components t] is [(k, active)]: [k] is the length of
+    {!decompose}[ t], and [active] lists the entries of {!decompose}[ t]
+    that hold at least one item, in order, each paired with its index
+    in that list.  The item-free components (isolated disks) are
+    counted but not built, so the cost follows the items, not the
+    disks. *)
+val active_components : t -> int * (int * component) list
+
 val pp : Format.formatter -> t -> unit

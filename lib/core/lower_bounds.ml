@@ -36,35 +36,43 @@ let gamma_term inst s =
   let cap_sum = List.fold_left (fun acc v -> acc + Instance.cap inst v) 0 s in
   gamma_of ~edges_inside ~cap_sum
 
-(* Exact max over all subsets of [nodes] by subset DP:
-   E(mask) = E(mask minus lowest bit v) + (edges from v into the rest).
-   [mult] is the multiplicity matrix between local indices, row-major
-   [k * k].  Returns the best term and its witness subset. *)
+(* Exact max over all subsets of [nodes] by subset DP.  With [i] and
+   [j] the two lowest members of [mask],
+     E(mask) = E(mask - i) + E(mask - j) - E(mask - i - j) + mult(i, j)
+   (inclusion-exclusion: the edges inside [mask] either avoid [i], or
+   avoid [j], or join [i] to [j]), so each subset costs O(1) amortized
+   — the bit scans average under two steps over all masks.  [mult] is
+   the symmetric multiplicity matrix between local indices, row-major
+   [k * k].  Masks are visited in increasing order and the best is
+   replaced only on a strict improvement.  Returns the best term and
+   its witness subset. *)
 let exact_on_nodes inst nodes mult =
   let k = Array.length nodes in
   if k = 0 || k > 24 then invalid_arg "Lower_bounds.exact_on_nodes";
   let size = 1 lsl k in
+  let cap = Array.map (Instance.cap inst) nodes in
   let inside = Array.make size 0 in
   let capsum = Array.make size 0 in
   let best = ref 0 and best_mask = ref 0 in
+  let rec lowest mask b =
+    if mask land (1 lsl b) <> 0 then b else lowest mask (b + 1)
+  in
   for mask = 1 to size - 1 do
-    let i =
-      (* index of lowest set bit *)
-      let rec find b = if mask land (1 lsl b) <> 0 then b else find (b + 1) in
-      find 0
-    in
-    let rest = mask land lnot (1 lsl i) in
-    let added = ref 0 in
-    for j = 0 to k - 1 do
-      if rest land (1 lsl j) <> 0 then added := !added + mult.((i * k) + j)
-    done;
-    inside.(mask) <- inside.(rest) + !added;
-    capsum.(mask) <- capsum.(rest) + Instance.cap inst nodes.(i);
-    if inside.(mask) > 0 then begin
-      let t = gamma_of ~edges_inside:inside.(mask) ~cap_sum:capsum.(mask) in
-      if t > !best && t < max_int then begin
-        best := t;
-        best_mask := mask
+    let i = lowest mask 0 in
+    let rest = mask lxor (1 lsl i) in
+    capsum.(mask) <- capsum.(rest) + cap.(i);
+    if rest <> 0 then begin
+      let j = lowest rest (i + 1) in
+      let no_j = mask lxor (1 lsl j) in
+      inside.(mask) <-
+        inside.(rest) + inside.(no_j) - inside.(rest lxor (1 lsl j))
+        + mult.((i * k) + j);
+      if inside.(mask) > 0 then begin
+        let t = gamma_of ~edges_inside:inside.(mask) ~cap_sum:capsum.(mask) in
+        if t > !best && t < max_int then begin
+          best := t;
+          best_mask := mask
+        end
       end
     end
   done;
@@ -84,8 +92,11 @@ let exact_on_nodes inst nodes mult =
    folded (see the mli's ordering contract): highest gain, then
    lowest bucket [Hashtbl.hash x land (b - 1)] for the table's bucket
    count [b], then — replayed only on such a tie — the node the rebuild
-   scan would have met last. *)
-let local_search inst rng iters =
+   scan would have met last.
+
+   [skip u] drops the iteration seeded at an edge of [u] after drawing
+   it, so the draws on [rng] do not depend on [skip]. *)
+let search ~skip inst rng iters =
   let g = Instance.graph inst in
   let n = Multigraph.n_nodes g and m = Multigraph.n_edges g in
   if m = 0 then (0, [])
@@ -187,32 +198,40 @@ let local_search inst rng iters =
     for it = 1 to iters do
       let e = Random.State.int rng m in
       let u, v = Multigraph.endpoints g e in
-      let members = Hashtbl.create 16 in
-      nfront := 0;
-      live := 0;
-      join members it u;
-      if u <> v then join members it v;
-      let inside = ref (Multigraph.multiplicity g u v) in
-      let capsum =
-        ref (Instance.cap inst u + if u <> v then Instance.cap inst v else 0)
-      in
-      consider members !inside !capsum;
-      let steps = min n 40 and step = ref 0 in
-      while !step < steps && !live > 0 do
-        let x, gx = pick members it in
-        join members it x;
-        inside := !inside + gx;
-        capsum := !capsum + Instance.cap inst x;
+      if not (skip u) then begin
+        let members = Hashtbl.create 16 in
+        nfront := 0;
+        live := 0;
+        join members it u;
+        if u <> v then join members it v;
+        let inside = ref (Multigraph.multiplicity g u v) in
+        let capsum =
+          ref (Instance.cap inst u + if u <> v then Instance.cap inst v else 0)
+        in
         consider members !inside !capsum;
-        incr step
-      done
+        let steps = min n 40 and step = ref 0 in
+        while !step < steps && !live > 0 do
+          let x, gx = pick members it in
+          join members it x;
+          inside := !inside + gx;
+          capsum := !capsum + Instance.cap inst x;
+          consider members !inside !capsum;
+          incr step
+        done
+      end
     done;
     List.iter (Arena.release arena)
       [ hmember; htouched; hgain; hfront; hmark; hhash ];
     (!best, !best_set)
   end
 
+let local_search inst rng iters = search ~skip:(fun _ -> false) inst rng iters
+
 let lb2_witness ?rng ?(exact_limit = 14) ?(search_iters = 32) inst =
+  if exact_limit > 24 then
+    invalid_arg
+      "Lower_bounds.lb2_witness: exact_limit must be <= 24 (the subset DP \
+       tables have 2^exact_limit entries)";
   let g = Instance.graph inst in
   let n = Multigraph.n_nodes g in
   let all_nodes = List.init n Fun.id in
@@ -267,9 +286,28 @@ let lb2_witness ?rng ?(exact_limit = 14) ?(search_iters = 32) inst =
     in
     if fst t > fst !comp_best then comp_best := t
   done;
+  (* A seed in an exactly solved component cannot beat [comp_best]:
+     the search never leaves the seed's component, and the DP already
+     took the max over that component's subsets.  Such seeds are still
+     drawn, so the caller's RNG ends in the same state; when every
+     seed would be skipped, nothing is built at all. *)
   let searched =
     match rng with
-    | Some rng when n > exact_limit -> local_search inst rng search_iters
+    | Some rng when n > exact_limit ->
+        let m = Multigraph.n_edges g in
+        let large = ref false in
+        for c = 0 to k - 1 do
+          if size.(c) >= 2 && not (exact c) then large := true
+        done;
+        if !large then
+          search ~skip:(fun u -> exact comp.(u)) inst rng search_iters
+        else begin
+          if m > 0 then
+            for _ = 1 to search_iters do
+              ignore (Random.State.int rng m)
+            done;
+          (0, [])
+        end
     | _ -> (0, [])
   in
   List.fold_left

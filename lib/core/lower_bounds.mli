@@ -11,7 +11,7 @@
     Maximizing over all [2^|V|] subsets is intractable in general, so
     [lb2] combines: the whole graph and every connected component
     (always), exact subset enumeration on components of at most
-    [exact_limit] nodes (subset-DP, [O(2^k k)]), and randomized greedy
+    [exact_limit] nodes (subset-DP, [O(2^k)]), and randomized greedy
     local search elsewhere ({!local_search}).  Every value returned is
     a {e certified} lower bound — it is the [Γ]-term of some concrete
     subset — only its tightness is best-effort.
@@ -19,7 +19,10 @@
     Cost: the component terms take one pass over the edges plus the
     subset DP; the search takes [O(n)] set-up and then, per iteration,
     at most [min n 40] steps of [O(frontier + deg x)] each, where [x]
-    is the node that joins.
+    is the node that joins.  A search iteration whose seed edge lies in
+    an exactly solved component is drawn but not run: it could not
+    beat that component's exact term.  When every component is solved
+    exactly, the search only draws its seeds.
 
     {b Ordering contract.}  The search's witness, and the draws it
     leaves on the caller's RNG, are pinned by the golden hetero
@@ -48,7 +51,9 @@ val lb2 :
 (** Like {!lb2}, but also returns the witness subset achieving the
     bound (empty when the bound is 0).  The witness is what the
     forwarding planner targets: transfers inside it are the bottleneck
-    that relaying through outside disks can relieve. *)
+    that relaying through outside disks can relieve.
+    @raise Invalid_argument if [exact_limit > 24] (the subset DP keeps
+    tables of [2^exact_limit] entries). *)
 val lb2_witness :
   ?rng:Random.State.t -> ?exact_limit:int -> ?search_iters:int ->
   Instance.t -> int * int list

@@ -27,26 +27,23 @@ let selection_of ~component ~solver inst sched =
   }
 
 let solve ?rng ?(jobs = 1) ~choose inst =
-  let comps = Instr.time t_decompose (fun () -> Instance.decompose inst) in
-  Instr.bump ~by:(List.length comps) c_components;
-  let active =
-    List.mapi (fun i c -> (i, c)) comps
-    |> List.filter (fun (_, c) -> Instance.n_items c.Instance.instance > 0)
+  let components, active =
+    Instr.time t_decompose (fun () -> Instance.active_components inst)
   in
+  Instr.bump ~by:components c_components;
   match active with
-  | [] ->
-      (Schedule.of_rounds [||], { components = List.length comps; selections = [] })
+  | [] -> (Schedule.of_rounds [||], { components; selections = [] })
   | [ (i, _) ] ->
       (* one real component: solve the original instance monolithically
          so behavior (including RNG consumption) is identical to
-         calling the solver directly.  [jobs] passes through so a
-         solver with intra-component parallelism (even-opt's per-round
-         matchings) still gets its pool. *)
+         calling the solver directly.  [jobs] still reaches the
+         solver's context, but no registered solver starts a pool for
+         a single component: even-opt solves each round on the caller. *)
       let s = choose inst in
       let sched = Instr.time t_solve (fun () -> Solver.solve ?rng ~jobs s inst) in
       ( sched,
         {
-          components = List.length comps;
+          components;
           selections = [ selection_of ~component:i ~solver:s.Solver.name inst sched ];
         } )
   | _ ->
@@ -87,7 +84,7 @@ let solve ?rng ?(jobs = 1) ~choose inst =
       let merged =
         Instr.time t_merge (fun () -> Schedule.merge (List.map fst parts))
       in
-      (merged, { components = List.length comps; selections })
+      (merged, { components; selections })
 
 let auto_choose inst =
   if Instance.all_caps_even inst then Solver.even_opt else Solver.hetero

@@ -4,7 +4,9 @@ type 'a t = {
   dummy : 'a;
 }
 
-let create ~dummy () = { data = Array.make 8 dummy; len = 0; dummy }
+(* the backing array is allocated by the first [push]: a graph with
+   many nodes and few edges keeps most of its adjacency vectors empty *)
+let create ~dummy () = { data = [||]; len = 0; dummy }
 
 let make ~dummy n x =
   if n < 0 then invalid_arg "Vec.make";
@@ -24,9 +26,12 @@ let set v i x =
   v.data.(i) <- x
 
 let grow v =
-  let data = Array.make (2 * Array.length v.data) v.dummy in
-  Array.blit v.data 0 data 0 v.len;
-  v.data <- data
+  if v.len = 0 then v.data <- Array.make 8 v.dummy
+  else begin
+    let data = Array.make (2 * Array.length v.data) v.dummy in
+    Array.blit v.data 0 data 0 v.len;
+    v.data <- data
+  end
 
 let push v x =
   if v.len = Array.length v.data then grow v;

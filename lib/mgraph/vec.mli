@@ -2,7 +2,8 @@
 
     OCaml 5.1 does not ship [Dynarray]; this is the small subset the
     graph substrate needs.  Elements are stored in a backing array that
-    doubles on overflow; a [dummy] value fills unused slots. *)
+    is allocated on the first push and doubles on overflow; a [dummy]
+    value fills unused slots. *)
 
 type 'a t
 

@@ -123,6 +123,25 @@ let run ?(jobs = 1) ?(epoch_rounds = 16) ?(max_epochs = 100_000)
   let desired = Array.copy cluster.placement in
   let demands = ref (Array.copy cluster.demands) in
   let owner = Array.make m (-1) in
+  (* the items with [placement <> desired], kept current by [touch]
+     wherever either array is written, so an epoch costs its diff
+     rather than a scan of every item: [misplaced] flags them,
+     [n_misplaced] counts them, and [candidates] holds every one of
+     them (plus items since settled, and repeats) *)
+  let misplaced = Array.make m false in
+  let n_misplaced = ref 0 in
+  let candidates = ref [] in
+  let touch item =
+    let off = placement.(item) <> desired.(item) in
+    if off <> misplaced.(item) then begin
+      misplaced.(item) <- off;
+      if off then begin
+        incr n_misplaced;
+        candidates := item :: !candidates
+      end
+      else decr n_misplaced
+    end
+  in
   let rng = Random.State.make [| rng_seed; 0x5e7f1ce |] in
   (* ---- admitted requests, in stable arrival order ---- *)
   let tracked =
@@ -172,7 +191,10 @@ let run ?(jobs = 1) ?(epoch_rounds = 16) ?(max_epochs = 100_000)
       t.tr_abandoned <- true;
       List.iter
         (fun (item, _) ->
-          if owner.(item) = k then desired.(item) <- placement.(item))
+          if owner.(item) = k then begin
+            desired.(item) <- placement.(item);
+            touch item
+          end)
         t.tr_outstanding
     end
   in
@@ -270,7 +292,11 @@ let run ?(jobs = 1) ?(epoch_rounds = 16) ?(max_epochs = 100_000)
         moves;
       t.tr_moves <- moves;
       t.tr_outstanding <- List.rev !dedup;
-      List.iter (fun (item, target) -> desired.(item) <- target) t.tr_outstanding;
+      List.iter
+        (fun (item, target) ->
+          desired.(item) <- target;
+          touch item)
+        t.tr_outstanding;
       live := k :: !live
     in
     if t.tr_at < 0 then reject "arrival round is negative"
@@ -345,15 +371,13 @@ let run ?(jobs = 1) ?(epoch_rounds = 16) ?(max_epochs = 100_000)
   let pending_repairs = ref [] (* disks that died mid-epoch, to patch *) in
   let carry = ref [||] (* previous epoch's remaining plan, as moves *) in
   let work_left () =
-    !next < n_req
-    || !pending_repairs <> []
-    || placement <> desired
+    !next < n_req || !pending_repairs <> [] || !n_misplaced > 0
   in
   while work_left () && !epoch_count < max_epochs do
     M.Instr.time t_epoch (fun () ->
         (* fast-forward pure idle time to the next arrival *)
         if
-          placement = desired && !pending_repairs = [] && !next < n_req
+          !n_misplaced = 0 && !pending_repairs = [] && !next < n_req
           && tracked.(!next).tr_at > !now
         then now := tracked.(!next).tr_at;
         let base = !now in
@@ -377,6 +401,7 @@ let run ?(jobs = 1) ?(epoch_rounds = 16) ?(max_epochs = 100_000)
                 let r = replica_of d in
                 placement.(item) <- r;
                 if desired.(item) = d then desired.(item) <- r;
+                touch item;
                 patches_rev := (item, r) :: !patches_rev;
                 incr repairs;
                 M.Instr.bump c_repairs
@@ -404,12 +429,15 @@ let run ?(jobs = 1) ?(epoch_rounds = 16) ?(max_epochs = 100_000)
         (* boundary settlement: supersession and no-op moves *)
         discharge_live ~round:base;
         (* ---- plan the outstanding diff as one migration instance ---- *)
-        let moves = ref [] in
-        for item = m - 1 downto 0 do
-          if placement.(item) <> desired.(item) then
-            moves := (item, placement.(item), desired.(item)) :: !moves
-        done;
-        let moves = !moves in
+        candidates :=
+          List.filter
+            (fun item -> misplaced.(item))
+            (List.sort_uniq Int.compare !candidates);
+        let moves =
+          List.map
+            (fun item -> (item, placement.(item), desired.(item)))
+            !candidates
+        in
         let m_e = List.length moves in
         let g = Mgraph.Multigraph.create ~n:!n () in
         let items = Array.make m_e (-1) in
@@ -484,6 +512,7 @@ let run ?(jobs = 1) ?(epoch_rounds = 16) ?(max_epochs = 100_000)
               List.iter
                 (fun e ->
                   placement.(items.(e)) <- targets.(e);
+                  touch items.(e);
                   incr transfers;
                   M.Instr.bump c_transfers;
                   moved := true)
@@ -498,7 +527,8 @@ let run ?(jobs = 1) ?(epoch_rounds = 16) ?(max_epochs = 100_000)
               let item = items.(e) in
               let k = owner.(item) in
               if k >= 0 then abandon k;
-              desired.(item) <- placement.(item))
+              desired.(item) <- placement.(item);
+              touch item)
             o.M.Engine.quarantined;
           (* disks crashed mid-epoch: dead from the next boundary, and
              their resident items need re-replication *)

@@ -49,13 +49,17 @@ let rebalance_incremental ~demands ~weights ~current ~tolerance =
   let total_weight = Array.fold_left ( +. ) 0.0 weights in
   let fair d = total_demand *. weights.(d) /. total_weight in
   let limit d = (1.0 +. tolerance) *. fair d in
-  (* items per disk, heaviest first, so one move sheds the most load *)
+  (* items per disk, heaviest first, so one move sheds the most load.
+     Only the lists of disks that start over their limit are ever read:
+     a disk receives an item only while it stays within its limit, so a
+     disk under it never goes over, and the other lists stay unsorted *)
   let items_of = Array.make n_disks [] in
   Array.iteri (fun item d -> items_of.(d) <- item :: items_of.(d)) p;
   Array.iteri
     (fun d items ->
-      items_of.(d) <-
-        List.sort (fun a b -> compare demands.(b) demands.(a)) items)
+      if carried.(d) > limit d then
+        items_of.(d) <-
+          List.sort (fun a b -> compare demands.(b) demands.(a)) items)
     items_of;
   let relative d = carried.(d) /. weights.(d) in
   let most_underloaded () =

@@ -4,7 +4,12 @@
    gain Hashtbl from every member's edges at each step.  The library's
    incremental search must reproduce it exactly — value, witness list
    order, and the draws it leaves on the RNG — because the golden
-   hetero schedules pin all three through [lower_bound ~rng]. *)
+   hetero schedules pin all three through [lower_bound ~rng].
+
+   [Reference.lb2_witness] is the bound as it was before its exact part
+   was made O(2^k) and before its search stopped running seeds that
+   land in exactly solved components: the O(2^k k) subset DP, and every
+   search seed run in full. *)
 
 module Multigraph = Mgraph.Multigraph
 module M = Migration
@@ -74,6 +79,96 @@ module Reference = struct
       done;
       (!best, !best_set)
     end
+
+  (* E(mask) = E(mask minus its lowest member i) + the edges from i
+     into the rest: O(k) per subset *)
+  let exact_on_nodes inst nodes mult =
+    let k = Array.length nodes in
+    let size = 1 lsl k in
+    let inside = Array.make size 0 in
+    let capsum = Array.make size 0 in
+    let best = ref 0 and best_mask = ref 0 in
+    for mask = 1 to size - 1 do
+      let i =
+        let rec find b = if mask land (1 lsl b) <> 0 then b else find (b + 1) in
+        find 0
+      in
+      let rest = mask land lnot (1 lsl i) in
+      let added = ref 0 in
+      for j = 0 to k - 1 do
+        if rest land (1 lsl j) <> 0 then added := !added + mult.((i * k) + j)
+      done;
+      inside.(mask) <- inside.(rest) + !added;
+      capsum.(mask) <- capsum.(rest) + M.Instance.cap inst nodes.(i);
+      if inside.(mask) > 0 then begin
+        let t =
+          gamma_of ~edges_inside:inside.(mask) ~cap_sum:capsum.(mask)
+        in
+        if t > !best && t < max_int then begin
+          best := t;
+          best_mask := mask
+        end
+      end
+    done;
+    let witness = ref [] in
+    for j = k - 1 downto 0 do
+      if !best_mask land (1 lsl j) <> 0 then witness := nodes.(j) :: !witness
+    done;
+    (!best, !witness)
+
+  (* whole graph, then every component (exactly when small), then the
+     search over the whole instance, every seed run *)
+  let lb2_witness ?rng ?(exact_limit = 14) ?(search_iters = 32) inst =
+    let g = M.Instance.graph inst in
+    let n = Multigraph.n_nodes g in
+    let cap_sum nodes =
+      List.fold_left (fun acc v -> acc + M.Instance.cap inst v) 0 nodes
+    in
+    let term ~inside nodes =
+      let t = gamma_of ~edges_inside:inside ~cap_sum:(cap_sum nodes) in
+      if t = max_int then (0, []) else (t, nodes)
+    in
+    let whole = term ~inside:(Multigraph.n_edges g) (List.init n Fun.id) in
+    let comp_best = ref (0, []) in
+    Array.iter
+      (fun members ->
+        let k = List.length members in
+        let t =
+          if k >= 2 && k <= exact_limit then begin
+            let nodes = Array.of_list members in
+            let index v =
+              let rec go i = if nodes.(i) = v then i else go (i + 1) in
+              go 0
+            in
+            let mult = Array.make (k * k) 0 in
+            Multigraph.iter_edges g (fun { Multigraph.u; v; _ } ->
+                if List.mem u members then begin
+                  let i = index u and j = index v in
+                  mult.((i * k) + j) <- mult.((i * k) + j) + 1;
+                  if i <> j then mult.((j * k) + i) <- mult.((j * k) + i) + 1
+                end);
+            exact_on_nodes inst nodes mult
+          end
+          else
+            term
+              ~inside:
+                (Multigraph.fold_edges
+                   (fun { Multigraph.u; _ } acc ->
+                     if List.mem u members then acc + 1 else acc)
+                   g 0)
+              members
+        in
+        if fst t > fst !comp_best then comp_best := t)
+      (Mgraph.Traversal.component_members g);
+    let searched =
+      match rng with
+      | Some rng when n > exact_limit ->
+          M.Lower_bounds.local_search inst rng search_iters
+      | _ -> (0, [])
+    in
+    List.fold_left
+      (fun acc cand -> if fst cand > fst acc then cand else acc)
+      whole [ !comp_best; searched ]
 end
 
 let show (v, w) =
@@ -295,6 +390,97 @@ let test_component_terms () =
         (M.Lower_bounds.lb2_witness ~exact_limit:0 inst))
     (family_cases ())
 
+(* Random multigraphs of 2..14 nodes with parallel edges and plenty of
+   cap-1 disks; not necessarily connected. *)
+let small_multigraph rng =
+  let n = 2 + Random.State.int rng 13 in
+  let g = Multigraph.create ~n () in
+  for _ = 1 to 1 + Random.State.int rng (3 * n) do
+    let u = Random.State.int rng n in
+    let v = (u + 1 + Random.State.int rng (n - 1)) mod n in
+    for _ = 1 to 1 + (Random.State.int rng 4 / 3) do
+      ignore (Multigraph.add_edge g u v)
+    done
+  done;
+  M.Instance.random_caps rng g ~choices:[ 1; 1; 2; 3; 5 ]
+
+let lb2_disagreement ?exact_limit ?rng_seed name inst =
+  let rng = Option.map rng_of_int rng_seed in
+  let ref_rng = Option.map rng_of_int rng_seed in
+  let got = M.Lower_bounds.lb2_witness ?rng ?exact_limit inst in
+  let want = Reference.lb2_witness ?rng:ref_rng ?exact_limit inst in
+  let next r = Option.map Random.State.bits r in
+  if got = want && next rng = next ref_rng then None
+  else
+    Some
+      (Printf.sprintf "%s: got %s, want %s" name (show got) (show want))
+
+(* The O(2^k) DP against the O(2^k k) one, value and witness, on
+   instances small enough that every component is solved exactly. *)
+let test_exact_dp () =
+  let failures =
+    List.filter_map
+      (fun i ->
+        let rng = rng_of_int (13_000 + i) in
+        let inst = small_multigraph rng in
+        let exact_limit = if i mod 4 = 0 then Some (2 + (i mod 13)) else None in
+        lb2_disagreement ?exact_limit (Printf.sprintf "case %d" i) inst)
+      (List.init 600 Fun.id)
+  in
+  Alcotest.(check (list string)) "exact DP" [] failures
+
+(* Unions of components at or below [exact_limit] nodes with larger
+   ones (or with none: then the search only draws its seeds), searched
+   with an RNG.  The library skips the seeds that land in the small
+   components; the reference runs them all. *)
+let test_skipped_seeds () =
+  let fams = Array.of_list Gen.all in
+  let failures =
+    List.filter_map
+      (fun i ->
+        let rng = rng_of_int (17_000 + i) in
+        let exact_limit = [| 4; 8; 14 |].(i mod 3) in
+        let small () =
+          let rec draw () =
+            let inst = small_multigraph rng in
+            if M.Instance.n_disks inst <= exact_limit then inst else draw ()
+          in
+          draw ()
+        in
+        let large j =
+          let fam = fams.(Random.State.int rng (Array.length fams)) in
+          Gen.instance fam ~seed:((37 * i) + j) ~size:(exact_limit + 2 + j)
+        in
+        let n_large = if i mod 5 = 0 then 0 else 1 + Random.State.int rng 2 in
+        let parts =
+          List.init (1 + Random.State.int rng 4) (fun _ -> small ())
+          @ List.init n_large large
+        in
+        let parts =
+          (* pad the all-small unions past [exact_limit] nodes, so that
+             the search is asked for *)
+          if n_large = 0 then parts @ List.init 4 (fun _ -> small ())
+          else parts
+        in
+        let inst = union parts in
+        lb2_disagreement ~exact_limit ~rng_seed:i
+          (Printf.sprintf "case %d (limit %d)" i exact_limit)
+          inst)
+      (List.init 300 Fun.id)
+  in
+  Alcotest.(check (list string)) "skipped seeds" [] failures
+
+let test_exact_limit_range () =
+  let inst = Gen.instance (List.hd Gen.all) ~seed:1 ~size:8 in
+  Alcotest.check_raises "exact_limit 25"
+    (Invalid_argument
+       "Lower_bounds.lb2_witness: exact_limit must be <= 24 (the subset DP \
+        tables have 2^exact_limit entries)")
+    (fun () -> ignore (M.Lower_bounds.lb2_witness ~exact_limit:25 inst));
+  Alcotest.(check bool)
+    "exact_limit 24 accepted" true
+    (fst (M.Lower_bounds.lb2_witness ~exact_limit:24 inst) >= 0)
+
 let () =
   Alcotest.run "lower_bounds"
     [
@@ -316,5 +502,11 @@ let () =
           Alcotest.test_case "bottleneck family" `Quick test_bottleneck_witness;
           Alcotest.test_case "component terms match gamma_term" `Quick
             test_component_terms;
+          Alcotest.test_case "O(2^k) DP matches the O(2^k k) one" `Quick
+            test_exact_dp;
+          Alcotest.test_case "skipped seeds change nothing" `Quick
+            test_skipped_seeds;
+          Alcotest.test_case "exact_limit above 24 rejected" `Quick
+            test_exact_limit_range;
         ] );
     ]

@@ -22,6 +22,36 @@ let two_triangles () =
 (* ------------------------------------------------------------------ *)
 (* Instance.decompose *)
 
+(* [active_components] is [decompose] without the item-free entries:
+   same count, same indices, same instances and maps.  Sparse graphs
+   leave isolated disks; half the cases carry tenant tags. *)
+let active_components_match =
+  qtest "active_components = item-holding entries of decompose" ~count:300
+    QCheck2.Gen.(pair (instance_spec_gen ~max_n:24 ~max_m:20 ()) bool)
+    (fun (spec, tag) ->
+      let inst = instance_of_spec spec in
+      let inst =
+        if not tag then inst
+        else
+          let m = M.Instance.n_items inst in
+          M.Instance.create (M.Instance.graph inst) ~caps:(M.Instance.caps inst)
+            ~groups:(Array.init m (fun e -> e mod 3))
+            ~weights:[| 1; 2; 5 |]
+      in
+      let all = M.Instance.decompose inst in
+      let k, active = M.Instance.active_components inst in
+      let render (i, c) =
+        ( i,
+          M.Instance.to_string c.M.Instance.instance,
+          c.M.Instance.nodes,
+          c.M.Instance.edges )
+      in
+      let want =
+        List.mapi (fun i c -> (i, c)) all
+        |> List.filter (fun (_, c) -> M.Instance.n_items c.M.Instance.instance > 0)
+      in
+      k = List.length all && List.map render active = List.map render want)
+
 let test_decompose_identity () =
   let g = Multigraph.create ~n:3 () in
   ignore (Multigraph.add_edge g 0 1);
@@ -227,6 +257,7 @@ let () =
             test_decompose_components;
           Alcotest.test_case "self-loops rejected" `Quick
             test_self_loop_rejected;
+          active_components_match;
         ] );
       ( "merge",
         [

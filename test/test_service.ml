@@ -176,6 +176,29 @@ let test_supersession_latency () =
   Alcotest.(check bool) "flight log certifies" true
     (C.service_ok (C.certify_service r.Service.execution))
 
+(* Item 0 is owed a move from disk 0 to disk 1 when disk 0 fails at the
+   same boundary.  Re-replication patches it onto the ring successor,
+   disk 1 — its target — so there is nothing left to move: the request
+   settles at absorption and no epoch plans a transfer. *)
+let test_patch_lands_on_target () =
+  let cluster =
+    { Service.caps = [| 1; 1; 1 |]; placement = [| 0; 2 |]; demands = ones 2 }
+  in
+  let requests =
+    [
+      { Service.at = 0; tenant = 0; trigger = Service.Retarget [ (0, 1) ] };
+      { Service.at = 0; tenant = 0; trigger = Service.Fail_disk { disk = 0 } };
+    ]
+  in
+  let r = Service.run ~epoch_rounds:4 ~rng_seed:1 cluster ~requests () in
+  Alcotest.(check bool) "not truncated" false r.Service.truncated;
+  Alcotest.(check int) "no transfer" 0 r.Service.transfers;
+  Alcotest.(check int) "one repair" 1 r.Service.repairs;
+  Alcotest.(check (list (pair int int))) "both settle at once"
+    [ (0, 0); (1, 0) ] r.Service.latencies;
+  Alcotest.(check bool) "flight log certifies" true
+    (C.service_ok (C.certify_service r.Service.execution))
+
 (* ------------------------------------------------------------------ *)
 (* Tamper evidence                                                     *)
 
@@ -243,15 +266,17 @@ let test_tamper_final_placement () =
 (* ------------------------------------------------------------------ *)
 (* Serve golden                                                        *)
 
-(* Fixed streams shaped like a production epoch loop: 32 disks with
+(* Fixed streams shaped like the benchmark's serve-stream: 32 disks with
    caps 1..5, 3,000 items with Zipf(1.1) demands laid out by
    [Layout.balance], and 100 tenant-tagged requests — mostly retargets
    to active disks, two 0.3% demand shifts, and one disk add, drain
-   and failure — run with 8-round epochs and 1% transfer faults.  Each
-   row of data/golden/serve.tsv pins one seed's rendered report and
-   statuses and its flight log; the rows were generated before the
-   service's epoch loop was made to scale with its diff, so any drift
-   in a schedule, an RNG draw or a settlement shows here. *)
+   and failure — run with 8-round epochs and 1% transfer faults.  From
+   seed 9 on, the engine also crashes a disk mid-epoch every 16
+   epochs, so quarantines, abandonment and re-replication show up
+   too.  Each row of data/golden/serve.tsv pins one seed's rendered
+   report and statuses and its flight log, so any drift in a schedule,
+   an RNG draw or a settlement shows here.  Regenerating the file
+   (--write-serve-golden, below) redefines the reference behaviour. *)
 let golden_stream seed =
   let rng = Random.State.make [| seed; 0x901d |] in
   let n_disks = 32 and n_items = 3000 and n_requests = 100 in
@@ -294,7 +319,11 @@ let golden_stream seed =
 let golden_run ~jobs seed =
   let cluster, requests = golden_stream seed in
   let policy ~epoch =
-    Storsim.Fault.engine_policy ~fault_rate:0.01
+    let crashes =
+      if seed >= 9 && epoch mod 16 = 5 then [ (1, ((seed * 5) + epoch) mod 32) ]
+      else []
+    in
+    Storsim.Fault.engine_policy ~fault_rate:0.01 ~crashes
       ~seed:((seed * 7919) + epoch)
       ()
   in
@@ -316,12 +345,14 @@ let render_log r =
             (items ep er.C.completed)
             (String.concat "," (List.map string_of_int er.C.crashed))
             (String.concat ","
-               (List.map (fun (d, c) -> Printf.sprintf "%d:%d" d c) er.C.slowed)))
+               (List.map
+                  (fun (d, c) -> Printf.sprintf "%d:%d" d c)
+                  er.C.slowed)))
         ep.C.se_log)
     r.Service.execution.C.svc_epochs;
   Buffer.contents b
 
-let golden_seeds = [ 1; 2; 3; 4; 5; 6; 7; 8 ]
+let golden_seeds = [ 1; 2; 3; 4; 5; 6; 7; 8; 9; 10 ]
 
 let golden_row ~jobs seed =
   let r = golden_run ~jobs seed in
@@ -387,6 +418,8 @@ let () =
         [
           Alcotest.test_case "superseded move settles with latency 0" `Quick
             test_supersession_latency;
+          Alcotest.test_case "re-replication lands an item on its target"
+            `Quick test_patch_lands_on_target;
         ] );
       ( "tamper",
         [

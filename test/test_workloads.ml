@@ -144,6 +144,94 @@ let test_incremental_fixes_hotspot () =
   Alcotest.(check bool) "imbalance bounded" true
     (W.Layout.imbalance ~demands ~weights p <= 1.1 +. 1e-9)
 
+(* The rebalance as it was before it sorted only the disks that start
+   over their limit: every disk's item list sorted, heaviest first. *)
+let reference_rebalance ~demands ~weights ~current ~tolerance =
+  let n_disks = Array.length weights in
+  let p = S.Placement.to_array current in
+  let carried = Array.make n_disks 0.0 in
+  Array.iteri (fun item d -> carried.(d) <- carried.(d) +. demands.(item)) p;
+  let total_demand = Array.fold_left ( +. ) 0.0 demands in
+  let total_weight = Array.fold_left ( +. ) 0.0 weights in
+  let limit d =
+    (1.0 +. tolerance) *. (total_demand *. weights.(d) /. total_weight)
+  in
+  let items_of = Array.make n_disks [] in
+  Array.iteri (fun item d -> items_of.(d) <- item :: items_of.(d)) p;
+  Array.iteri
+    (fun d items ->
+      items_of.(d) <-
+        List.sort (fun a b -> compare demands.(b) demands.(a)) items)
+    items_of;
+  let relative d = carried.(d) /. weights.(d) in
+  let most_underloaded () =
+    let best = ref 0 in
+    for d = 1 to n_disks - 1 do
+      if relative d < relative !best then best := d
+    done;
+    !best
+  in
+  let shed d item target =
+    items_of.(d) <- List.filter (fun i -> i <> item) items_of.(d);
+    items_of.(target) <- item :: items_of.(target);
+    carried.(d) <- carried.(d) -. demands.(item);
+    carried.(target) <- carried.(target) +. demands.(item);
+    p.(item) <- target
+  in
+  let progress = ref true in
+  while !progress do
+    progress := false;
+    for d = 0 to n_disks - 1 do
+      if carried.(d) > limit d then
+        match items_of.(d) with
+        | [] -> ()
+        | item :: _ -> (
+            let target = most_underloaded () in
+            let fits i =
+              target <> d && carried.(target) +. demands.(i) <= limit target
+            in
+            if fits item then begin
+              shed d item target;
+              progress := true
+            end
+            else
+              match List.rev items_of.(d) with
+              | lightest :: _ when fits lightest ->
+                  shed d lightest target;
+                  progress := true
+              | _ -> ())
+    done
+  done;
+  p
+
+(* Equal demands (Zipf s = 0) make the sort's tie order matter;
+   tolerance 0 makes most disks start over their limit; some disks
+   start with no items at all. *)
+let rebalance_matches_reference =
+  qtest "layout: incremental rebalance matches the sort-every-disk reference"
+    ~count:300
+    QCheck2.Gen.(
+      quad (int_bound 100_000) (int_range 1 400) (int_range 1 12)
+        (oneofl [ 0.0; 0.05; 0.3 ]))
+    (fun (seed, n, n_disks, tolerance) ->
+      let rng = rng_of_int seed in
+      let s = if seed mod 3 = 0 then 0.0 else 1.1 in
+      let demands = W.Demand.demands rng ~n ~s in
+      let weights =
+        Array.init n_disks (fun _ -> float_of_int (1 + Random.State.int rng 5))
+      in
+      (* items only on the first [used] disks, skewed toward disk 0 *)
+      let used = 1 + Random.State.int rng n_disks in
+      let current =
+        S.Placement.create ~n_items:n (fun _ ->
+            if Random.State.bool rng then 0 else Random.State.int rng used)
+      in
+      let got =
+        S.Placement.to_array
+          (W.Layout.rebalance_incremental ~demands ~weights ~current ~tolerance)
+      in
+      got = reference_rebalance ~demands ~weights ~current ~tolerance)
+
 (* ------------------------------------------------------------------ *)
 (* Scenarios *)
 
@@ -307,6 +395,7 @@ let () =
             test_incremental_noop_when_balanced;
           Alcotest.test_case "incremental hotspot" `Quick
             test_incremental_fixes_hotspot;
+          rebalance_matches_reference;
         ] );
       ( "scenarios",
         [
