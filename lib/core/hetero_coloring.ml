@@ -57,22 +57,35 @@ let try_lean_swap t ctx ?rng e =
   loop 16 neighbors
 
 (* Edge order heuristic: hardest first — endpoints with the largest
-   degree-to-capacity ratio get first pick of the palette. *)
+   degree-to-capacity ratio get first pick of the palette.  Descending
+   weight, ties by ascending edge id, by one counting sort over the
+   weights: O(m + Δ). *)
 let edge_order inst =
   let g = Instance.graph inst in
-  let weight e =
-    let u, v = Multigraph.endpoints g e in
-    Instance.degree_ratio inst u + Instance.degree_ratio inst v
+  let m = Multigraph.n_edges g in
+  let ratio = Array.init (Instance.n_disks inst) (Instance.degree_ratio inst) in
+  let weight =
+    Array.init m (fun e ->
+        let u, v = Multigraph.endpoints g e in
+        ratio.(u) + ratio.(v))
   in
-  let keyed = Array.init (Multigraph.n_edges g) (fun e -> (weight e, e)) in
-  (* descending weight, ties by ascending edge id — the order the old
-     stable list sort produced; a total order, so sort instability
-     cannot show *)
-  Array.sort
-    (fun ((aw : int), (ae : int)) (bw, be) ->
-      if bw <> aw then compare bw aw else compare ae be)
-    keyed;
-  Array.map snd keyed
+  let top = Array.fold_left max 0 weight in
+  (* [start.(w)]: where the edges of weight [w] begin, heaviest first *)
+  let start = Array.make (top + 1) 0 in
+  Array.iter (fun w -> start.(w) <- start.(w) + 1) weight;
+  let next = ref 0 in
+  for w = top downto 0 do
+    let count = start.(w) in
+    start.(w) <- !next;
+    next := !next + count
+  done;
+  let order = Array.make m 0 in
+  Array.iteri
+    (fun e w ->
+      order.(start.(w)) <- e;
+      start.(w) <- start.(w) + 1)
+    weight;
+  order
 
 let phase1 t ctx ?rng order =
   let stuck = ref [] in
@@ -111,7 +124,12 @@ let phase2 t inst g0_edges =
     Multigraph.iter_edges sg0 (fun { Multigraph.id; _ } ->
         match Ec.color_of vc id with
         | Some c -> Ec.assign t mapping.(id) (base + c)
-        | None -> assert false)
+        | None ->
+            (* contradicts Vizing's theorem — an implementation bug *)
+            failwith
+              (Printf.sprintf
+                 "Hetero_coloring: edge %d left uncolored after phase 2"
+                 mapping.(id)))
   end
 
 let color ?rng inst =
@@ -176,7 +194,10 @@ let color ?rng inst =
   Multigraph.iter_edges g (fun { Multigraph.id; _ } ->
       match Ec.color_of t id with
       | Some c -> used.(c) <- true
-      | None -> assert false);
+      | None ->
+          (* phases 1 and 2 color every edge — an implementation bug *)
+          failwith
+            (Printf.sprintf "Hetero_coloring: edge %d has no color" id));
   let palette = Array.fold_left (fun acc u -> if u then acc + 1 else acc) 0 used in
   let stats =
     {

@@ -39,5 +39,10 @@ type stats = {
 val color :
   ?rng:Random.State.t -> Instance.t -> Coloring.Edge_coloring.t * stats
 
+(** [edge_order inst] is phase 1's edge order: every edge id once,
+    hardest first — by descending [degree_ratio u + degree_ratio v]
+    over the endpoints, ties by ascending id. *)
+val edge_order : Instance.t -> int array
+
 val schedule : ?rng:Random.State.t -> Instance.t -> Schedule.t
 val schedule_stats : ?rng:Random.State.t -> Instance.t -> Schedule.t * stats

@@ -1,6 +1,10 @@
 module Multigraph = Mgraph.Multigraph
 module Arena = Mgraph.Arena
 
+let t_search = Probes.timer "lower_bounds.search"
+let c_search_steps = Probes.counter "lower_bounds.search_steps"
+let c_search_skipped = Probes.counter "lower_bounds.search_skipped"
+
 let lb1 inst =
   let best = ref 0 in
   for v = 0 to Instance.n_disks inst - 1 do
@@ -82,150 +86,207 @@ let exact_on_nodes inst nodes mult =
   done;
   (!best, !witness)
 
+(* Bucket count of a [Hashtbl.create 16] holding [size] keys: 16,
+   doubled while [size] exceeds twice the count. *)
+let table_buckets size =
+  let b = ref 16 in
+  while size > 2 * !b do
+    b := 2 * !b
+  done;
+  !b
+
 (* Randomized greedy densest-subset growth: from a random seed edge,
    repeatedly add the frontier node with the most edges into the
    current set, keeping the best Γ-term seen.
 
    Gains live in dense arrays over the CSR and are kept up to date as
-   nodes join ([join]), so a step costs O(frontier + deg x).  The pick
-   must be the one a gain table rebuilt each step would make when
-   folded (see the mli's ordering contract): highest gain, then
-   lowest bucket [Hashtbl.hash x land (b - 1)] for the table's bucket
-   count [b], then — replayed only on such a tie — the node the rebuild
-   scan would have met last.
+   nodes join ([join]).  The frontier holds only live (touched,
+   non-member) nodes, so a pick costs O(live).  The pick must be the
+   one a gain table rebuilt each step would make when folded (see the
+   mli's ordering contract): the least (-gain, bucket), and on a tie
+   the candidate with the greatest rank key, which only the tied
+   candidates' rows are read to compute.
 
-   [skip u] drops the iteration seeded at an edge of [u] after drawing
-   it, so the draws on [rng] do not depend on [skip]. *)
-let search ~skip inst rng iters =
+   An iteration stops once no larger subset can beat [max best floor]:
+   its subsets stay inside the seed's component, which has
+   [comp_edges u] edges, and every join adds at least 1 to the
+   capacity sum.  An iteration whose ordered seed pair already ran
+   would replay that run, so it is skipped, as is one with [skip u];
+   both are still drawn, so the draws on [rng] depend on neither. *)
+let search ~skip ~comp_edges ~floor inst rng iters =
   let g = Instance.graph inst in
   let n = Multigraph.n_nodes g and m = Multigraph.n_edges g in
   if m = 0 then (0, [])
-  else begin
+  else
+    Probes.time t_search @@ fun () ->
     let csr = Multigraph.freeze g in
     let offsets = csr.Multigraph.Csr.offsets
-    and nbrs = csr.Multigraph.Csr.neighbors in
+    and nbrs = csr.Multigraph.Csr.neighbors
+    and eids = csr.Multigraph.Csr.edge_ids in
+    let max_members = min n 40 + 2 in
     let arena = Arena.local () in
-    (* [member.(v) = it]: [v] is in iteration [it]'s subset;
-       [touched.(v) = it]: [v] is a member or on the frontier, and
-       [gain.(v)] counts its edges into the subset; [mark] flags the
-       candidates of a tie replay *)
-    let hmember = Arena.ints arena ~len:n ~fill:0
-    and htouched = Arena.ints arena ~len:n ~fill:0
+    (* [state.(v)] is [2 it] while [v] is live in iteration [it] and
+       [2 it + 1] once it is a member (lower: untouched); [slot.(v)]
+       is a live node's index in [front] and a member's join index;
+       [gain.(v)] counts a live node's edges into the subset;
+       [joined] lists the members in join order, [best_joined] those
+       of the best subset so far *)
+    let hstate = Arena.ints arena ~len:n ~fill:0
+    and hslot = Arena.ints arena ~len:n ~fill:0
     and hgain = Arena.ints arena ~len:n ~fill:0
     and hfront = Arena.ints arena ~len:n ~fill:0
-    and hmark = Arena.ints arena ~len:n ~fill:0
-    and hhash = Arena.ints arena ~len:n ~fill:0 in
-    let member = Arena.arr hmember and touched = Arena.arr htouched in
+    and htied = Arena.ints arena ~len:n ~fill:0
+    and hhash = Arena.ints arena ~len:n ~fill:0
+    and hjoined = Arena.ints arena ~len:max_members ~fill:0
+    and hbest = Arena.ints arena ~len:max_members ~fill:0 in
+    let state = Arena.arr hstate and slot = Arena.arr hslot in
     let gain = Arena.arr hgain and front = Arena.arr hfront in
-    let mark = Arena.arr hmark and hash = Arena.arr hhash in
+    let tied = Arena.arr htied and hash = Arena.arr hhash in
+    let joined = Arena.arr hjoined and best_joined = Arena.arr hbest in
     for v = 0 to n - 1 do
       hash.(v) <- Hashtbl.hash v
     done;
-    (* [front.(0 .. nfront-1)] holds every node touched this iteration
-       as a non-member; [live] of them are still outside the subset *)
-    let nfront = ref 0 and live = ref 0 and marks = ref 0 in
-    let join members it x =
-      Hashtbl.add members x ();
-      member.(x) <- it;
-      if touched.(x) = it then decr live;
-      touched.(x) <- it;
+    let live = ref 0 and members = ref 0 in
+    let join it x =
+      if state.(x) = 2 * it then begin
+        let i = slot.(x) and last = front.(!live - 1) in
+        front.(i) <- last;
+        slot.(last) <- i;
+        decr live
+      end;
+      state.(x) <- (2 * it) + 1;
+      slot.(x) <- !members;
+      joined.(!members) <- x;
+      incr members;
       for p = offsets.(x) to offsets.(x + 1) - 1 do
         let y = nbrs.(p) in
-        if touched.(y) <> it then begin
-          touched.(y) <- it;
+        if state.(y) < 2 * it then begin
+          state.(y) <- 2 * it;
           gain.(y) <- 1;
-          front.(!nfront) <- y;
-          incr nfront;
+          slot.(y) <- !live;
+          front.(!live) <- y;
           incr live
         end
-        else if member.(y) <> it then gain.(y) <- gain.(y) + 1
+        else if state.(y) = 2 * it then gain.(y) <- gain.(y) + 1
       done
     in
-    let pick members it =
-      (* the rebuilt table starts at 16 buckets and doubles whenever
-         its size exceeds twice the bucket count *)
-      let buckets = ref 16 in
-      while !live > 2 * !buckets do
-        buckets := 2 * !buckets
-      done;
-      let mask = !buckets - 1 in
-      let bg = ref 0 and bb = ref 0 and bx = ref (-1) and ties = ref 0 in
-      for i = 0 to !nfront - 1 do
+    let picked_gain = ref 0 in
+    let pick it =
+      let mask = table_buckets !live - 1 in
+      let bg = ref 0 and bb = ref 0 and ties = ref 0 in
+      for i = 0 to !live - 1 do
         let x = front.(i) in
-        if member.(x) <> it && gain.(x) >= !bg then begin
+        let gx = gain.(x) in
+        if gx >= !bg then begin
           let bk = hash.(x) land mask in
-          if gain.(x) > !bg || bk < !bb then begin
-            bg := gain.(x);
+          if gx > !bg || bk < !bb then begin
+            bg := gx;
             bb := bk;
-            bx := x;
+            tied.(0) <- x;
             ties := 1
           end
-          else if bk = !bb then incr ties
+          else if bk = !bb then begin
+            tied.(!ties) <- x;
+            incr ties
+          end
         end
       done;
-      if !ties > 1 then begin
-        (* same bucket: the fold meets the most recently inserted key
-           first, i.e. the one the rebuild scan (members in table
-           order, edges in incidence order) met last *)
-        incr marks;
-        let mk = !marks in
-        for i = 0 to !nfront - 1 do
-          let x = front.(i) in
-          if member.(x) <> it && gain.(x) = !bg && hash.(x) land mask = !bb
-          then mark.(x) <- mk
-        done;
-        Hashtbl.iter
-          (fun w () ->
-            for p = offsets.(w) to offsets.(w + 1) - 1 do
-              let y = nbrs.(p) in
-              if mark.(y) = mk then begin
-                mark.(y) <- 0;
-                bx := y
+      picked_gain := !bg;
+      if !ties = 1 then tied.(0)
+      else begin
+        (* a candidate's rank key is where the rebuild scan first met
+           it: the least (member bucket, newest join first, edge id)
+           over its edges to members, the first two packed into one
+           int.  The gain table's fold meets the candidate with the
+           greatest key first. *)
+        let k = !members in
+        let mmask = table_buckets k - 1 in
+        let bx = ref (-1) and br = ref (-1) and be = ref (-1) in
+        for i = 0 to !ties - 1 do
+          let y = tied.(i) in
+          let r = ref max_int and e = ref max_int in
+          for p = offsets.(y) to offsets.(y + 1) - 1 do
+            let w = nbrs.(p) in
+            if state.(w) = (2 * it) + 1 then begin
+              let rw = ((hash.(w) land mmask) * k) + (k - 1 - slot.(w)) in
+              if rw < !r || (rw = !r && eids.(p) < !e) then begin
+                r := rw;
+                e := eids.(p)
               end
-            done)
-          members
-      end;
-      (!bx, !bg)
+            end
+          done;
+          if !r > !br || (!r = !br && !e > !be) then begin
+            br := !r;
+            be := !e;
+            bx := y
+          end
+        done;
+        !bx
+      end
     in
-    let best = ref 0 and best_set = ref [] in
-    let consider members inside capsum =
+    let best = ref 0 and best_members = ref 0 in
+    let consider inside capsum =
       let t = gamma_of ~edges_inside:inside ~cap_sum:capsum in
       if t > !best && t < max_int then begin
         best := t;
-        best_set := Hashtbl.fold (fun v () acc -> v :: acc) members []
+        Array.blit joined 0 best_joined 0 !members;
+        best_members := !members
       end
     in
+    let seeds = Hashtbl.create 64 in
+    let steps = min n 40 and total_steps = ref 0 and skipped = ref 0 in
     for it = 1 to iters do
       let e = Random.State.int rng m in
       let u, v = Multigraph.endpoints g e in
-      if not (skip u) then begin
-        let members = Hashtbl.create 16 in
-        nfront := 0;
+      if skip u || Hashtbl.mem seeds ((u * n) + v) then incr skipped
+      else begin
+        Hashtbl.add seeds ((u * n) + v) ();
         live := 0;
-        join members it u;
-        if u <> v then join members it v;
+        members := 0;
+        join it u;
+        if u <> v then join it v;
         let inside = ref (Multigraph.multiplicity g u v) in
         let capsum =
           ref (Instance.cap inst u + if u <> v then Instance.cap inst v else 0)
         in
-        consider members !inside !capsum;
-        let steps = min n 40 and step = ref 0 in
-        while !step < steps && !live > 0 do
-          let x, gx = pick members it in
-          join members it x;
-          inside := !inside + gx;
+        consider !inside !capsum;
+        let limit = comp_edges u and step = ref 0 in
+        while
+          !step < steps && !live > 0
+          && gamma_of ~edges_inside:limit ~cap_sum:(!capsum + 1)
+             > max !best floor
+        do
+          let x = pick it in
+          join it x;
+          inside := !inside + !picked_gain;
           capsum := !capsum + Instance.cap inst x;
-          consider members !inside !capsum;
+          consider !inside !capsum;
           incr step
-        done
+        done;
+        total_steps := !total_steps + !step
       end
     done;
+    (* the member table's fold order (bucket ascending, newest first
+       within a bucket), consed: the witness lists it reversed *)
+    let k = !best_members in
+    let mask = table_buckets k - 1 in
+    let witness = ref [] in
+    for b = 0 to mask do
+      for i = k - 1 downto 0 do
+        let w = best_joined.(i) in
+        if hash.(w) land mask = b then witness := w :: !witness
+      done
+    done;
     List.iter (Arena.release arena)
-      [ hmember; htouched; hgain; hfront; hmark; hhash ];
-    (!best, !best_set)
-  end
+      [ hstate; hslot; hgain; hfront; htied; hhash; hjoined; hbest ];
+    Probes.bump ~by:!total_steps c_search_steps;
+    Probes.bump ~by:!skipped c_search_skipped;
+    (!best, !witness)
 
-let local_search inst rng iters = search ~skip:(fun _ -> false) inst rng iters
+let local_search inst rng iters =
+  let m = Multigraph.n_edges (Instance.graph inst) in
+  search ~skip:(fun _ -> false) ~comp_edges:(fun _ -> m) ~floor:0 inst rng
+    iters
 
 let lb2_witness ?rng ?(exact_limit = 14) ?(search_iters = 32) inst =
   if exact_limit > 24 then
@@ -300,12 +361,18 @@ let lb2_witness ?rng ?(exact_limit = 14) ?(search_iters = 32) inst =
           if size.(c) >= 2 && not (exact c) then large := true
         done;
         if !large then
-          search ~skip:(fun u -> exact comp.(u)) inst rng search_iters
+          search
+            ~skip:(fun u -> exact comp.(u))
+            ~comp_edges:(fun u -> inside.(comp.(u)))
+            ~floor:(max (fst whole) (fst !comp_best))
+            inst rng search_iters
         else begin
-          if m > 0 then
+          if m > 0 then begin
             for _ = 1 to search_iters do
               ignore (Random.State.int rng m)
             done;
+            Probes.bump ~by:search_iters c_search_skipped
+          end;
           (0, [])
         end
     | _ -> (0, [])

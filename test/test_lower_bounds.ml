@@ -8,8 +8,9 @@
 
    [Reference.lb2_witness] is the bound as it was before its exact part
    was made O(2^k) and before its search stopped running seeds that
-   land in exactly solved components: the O(2^k k) subset DP, and every
-   search seed run in full. *)
+   land in exactly solved components, repeat a seed pair, or can no
+   longer beat the component terms: the O(2^k k) subset DP, and every
+   seed grown in full by [Reference.local_search]. *)
 
 module Multigraph = Mgraph.Multigraph
 module M = Migration
@@ -117,7 +118,7 @@ module Reference = struct
     (!best, !witness)
 
   (* whole graph, then every component (exactly when small), then the
-     search over the whole instance, every seed run *)
+     reference search over the whole instance, every seed run *)
   let lb2_witness ?rng ?(exact_limit = 14) ?(search_iters = 32) inst =
     let g = M.Instance.graph inst in
     let n = Multigraph.n_nodes g in
@@ -163,7 +164,7 @@ module Reference = struct
     let searched =
       match rng with
       | Some rng when n > exact_limit ->
-          M.Lower_bounds.local_search inst rng search_iters
+          local_search inst rng search_iters
       | _ -> (0, [])
     in
     List.fold_left
@@ -470,6 +471,185 @@ let test_skipped_seeds () =
   in
   Alcotest.(check (list string)) "skipped seeds" [] failures
 
+let range rng lo hi = lo + Random.State.int rng (hi - lo + 1)
+
+(* The pools of a plan-mixed-shaped instance: 3-5 of 24-48 nodes with
+   caps {1,2,3,5}; pool 0 is power-law, with hubs and stacks of
+   parallel edges, the rest G(n,m). *)
+let mixed_pools rng =
+  List.init (range rng 3 5) (fun p ->
+      let n = range rng 24 48 in
+      let g =
+        if p = 0 then Mgraph.Graph_gen.power_law rng ~n ~m:(n * range rng 5 8)
+        else Mgraph.Graph_gen.gnm rng ~n ~m:(n * range rng 4 8)
+      in
+      M.Instance.random_caps rng g ~choices:[ 1; 2; 3; 5 ])
+
+(* [k] parallel edges between two cap-1 disks: a component whose exact
+   term is [k] *)
+let stack k =
+  let g = Multigraph.create ~n:2 () in
+  for _ = 1 to k do
+    ignore (Multigraph.add_edge g 0 1)
+  done;
+  M.Instance.uniform g ~cap:1
+
+let check_lb2 name cases =
+  let failures =
+    List.filter_map
+      (fun (seed, inst) ->
+        lb2_disagreement ~rng_seed:seed (Printf.sprintf "%s %d" name seed) inst)
+      cases
+  in
+  Alcotest.(check (list string)) name [] failures
+
+(* The unions plan-mixed builds, and each of their pools alone (the
+   component a pipeline solve hands to hetero). *)
+let test_plan_mixed () =
+  check_lb2 "plan-mixed"
+    (List.concat
+       (List.init 30 (fun i ->
+            let pools = mixed_pools (rng_of_int (19_000 + i)) in
+            (i, union pools)
+            :: List.mapi (fun j pool -> ((100 * i) + j, pool)) pools)))
+
+(* A small component whose exact term lands among the search's values:
+   the search prunes against it, and sometimes still beats it. *)
+let test_floor_prune () =
+  check_lb2 "dominated search"
+    (List.init 60 (fun i ->
+         let rng = rng_of_int (21_000 + i) in
+         let pools = mixed_pools rng in
+         (i, union (stack (3 + Random.State.int rng 28) :: pools))))
+
+(* Cap-1 G(n,m) pools of 40-48 nodes: the whole-pool term stays below
+   what the pool's edges allow at 42 members, so growths run past 32
+   members, where the member table has 32 buckets. *)
+let test_wide_growth () =
+  check_lb2 "growth past 32 members"
+    (List.init 40 (fun i ->
+         let rng = rng_of_int (23_000 + i) in
+         let pool _ =
+           let n = range rng 40 48 in
+           M.Instance.uniform
+             (Mgraph.Graph_gen.gnm rng ~n ~m:(n * range rng 4 8))
+             ~cap:1
+         in
+         (i, union (List.init (range rng 1 3) pool))))
+
+(* ------------------------------------------------------------------ *)
+(* Hetero's edge order against the tuple sort it replaced *)
+
+let tuple_sort_order inst =
+  let g = M.Instance.graph inst in
+  let weight e =
+    let u, v = Multigraph.endpoints g e in
+    M.Instance.degree_ratio inst u + M.Instance.degree_ratio inst v
+  in
+  let keyed = Array.init (Multigraph.n_edges g) (fun e -> (weight e, e)) in
+  Array.sort
+    (fun ((aw : int), (ae : int)) (bw, be) ->
+      if bw <> aw then compare bw aw else compare ae be)
+    keyed;
+  Array.map snd keyed
+
+(* [same] stacks every edge on the first pair drawn, so all weights are
+   equal; [m] may be 0.  Instances reject self-loops, so none is
+   drawn. *)
+let edge_order_gen =
+  QCheck2.Gen.(
+    let* n = int_range 2 12 in
+    let* m = int_range 0 40 in
+    let* same = bool in
+    let* pairs =
+      list_size (return m)
+        (let* u = int_bound (n - 1) in
+         let* d = int_range 1 (n - 1) in
+         return (u, (u + d) mod n))
+    in
+    let* caps = array_size (return n) (oneofl [ 1; 2; 3; 5 ]) in
+    let pairs =
+      if same then List.map (fun _ -> List.hd pairs) pairs else pairs
+    in
+    return (n, caps, pairs))
+
+let prop_edge_order (n, caps, pairs) =
+  let g = Multigraph.create ~n () in
+  List.iter (fun (u, v) -> ignore (Multigraph.add_edge g u v)) pairs;
+  let inst = M.Instance.create g ~caps in
+  M.Hetero_coloring.edge_order inst = tuple_sort_order inst
+
+let test_edge_order_cases () =
+  let check name inst =
+    Alcotest.(check (array int))
+      name (tuple_sort_order inst)
+      (M.Hetero_coloring.edge_order inst)
+  in
+  check "no edges" (M.Instance.uniform (Multigraph.create ~n:4 ()) ~cap:3);
+  check "one pair, all weights equal" (stack 9);
+  List.iter
+    (fun (seed, inst) -> check (Printf.sprintf "family case %d" seed) inst)
+    (List.filteri (fun i _ -> i mod 7 = 0) (family_cases ()))
+
+(* ------------------------------------------------------------------ *)
+(* Golden corpus: data/golden/lower_bounds.tsv pins [lb2_witness ~rng]
+   on 200 plan-mixed-shaped instances (even rows a union, odd rows one
+   of its pools alone): the value, an MD5 of the witness list and the
+   RNG's next draw.  Regenerating the file (--write-lb-golden, below)
+   redefines the reference behaviour. *)
+
+let golden_instance i =
+  let pools = Array.of_list (mixed_pools (rng_of_int (29_000 + (i / 2)))) in
+  if i mod 2 = 0 then union (Array.to_list pools)
+  else pools.(i / 2 mod Array.length pools)
+
+let golden_row i =
+  let rng = rng_of_int i in
+  let value, witness = M.Lower_bounds.lb2_witness ~rng (golden_instance i) in
+  Printf.sprintf "%d\t%d\t%s\t%d" i value
+    (Digest.to_hex
+       (Digest.string (String.concat ";" (List.map string_of_int witness))))
+    (Random.State.bits rng)
+
+let golden_header = "# index\tlb2\twitness_md5\tnext_bits\n"
+let golden_rows = 200
+let golden_search_work = (144242, 349)
+
+let lb_golden_path =
+  List.find_opt Sys.file_exists
+    [
+      "data/golden/lower_bounds.tsv";
+      "../data/golden/lower_bounds.tsv";
+      "../../data/golden/lower_bounds.tsv";
+    ]
+
+let test_golden () =
+  let path =
+    match lb_golden_path with
+    | Some p -> p
+    | None ->
+        Alcotest.fail "golden corpus data/golden/lower_bounds.tsv not found"
+  in
+  let rows =
+    In_channel.with_open_bin path In_channel.input_all
+    |> String.split_on_char '\n'
+    |> List.filter (fun l -> l <> "" && l.[0] <> '#')
+  in
+  Alcotest.(check int) "row count" golden_rows (List.length rows);
+  M.Instr.reset ();
+  List.iteri
+    (fun i row ->
+      Alcotest.(check string) (Printf.sprintf "row %d" i) row (golden_row i))
+    rows;
+  (* The work the search did over the corpus: growth steps taken, and
+     seed iterations drawn but not run.  These pin the prune and the
+     seed skips, whose changes no value or witness shows as long as
+     they stay exact; a deliberate change to either updates them. *)
+  let count name = List.assoc name (M.Instr.snapshot ()).M.Instr.counters in
+  Alcotest.(check (pair int int))
+    "search steps, skipped seeds" golden_search_work
+    (count "lower_bounds.search_steps", count "lower_bounds.search_skipped")
+
 let test_exact_limit_range () =
   let inst = Gen.instance (List.hd Gen.all) ~seed:1 ~size:8 in
   Alcotest.check_raises "exact_limit 25"
@@ -480,6 +660,16 @@ let test_exact_limit_range () =
   Alcotest.(check bool)
     "exact_limit 24 accepted" true
     (fst (M.Lower_bounds.lb2_witness ~exact_limit:24 inst) >= 0)
+
+let () =
+  (* regenerate the corpus: test_lower_bounds.exe --write-lb-golden *)
+  if Array.exists (( = ) "--write-lb-golden") Sys.argv then begin
+    print_string golden_header;
+    for i = 0 to golden_rows - 1 do
+      print_endline (golden_row i)
+    done;
+    exit 0
+  end
 
 let () =
   Alcotest.run "lower_bounds"
@@ -508,5 +698,19 @@ let () =
             test_skipped_seeds;
           Alcotest.test_case "exact_limit above 24 rejected" `Quick
             test_exact_limit_range;
+          Alcotest.test_case "matches on plan-mixed unions and pools" `Quick
+            test_plan_mixed;
+          Alcotest.test_case "matches where a component term prunes" `Quick
+            test_floor_prune;
+          Alcotest.test_case "matches on growths past 32 members" `Quick
+            test_wide_growth;
+          Alcotest.test_case "golden corpus replays" `Quick test_golden;
+        ] );
+      ( "edge_order",
+        [
+          qtest ~count:300 "equals the tuple sort" edge_order_gen
+            prop_edge_order;
+          Alcotest.test_case "no edges, equal weights, families" `Quick
+            test_edge_order_cases;
         ] );
     ]

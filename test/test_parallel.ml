@@ -132,6 +132,35 @@ let prop_family_jobs_independent fam (seed, size) =
     (List.length v.M.Certify.violations);
   M.Certify.ok v
 
+(* The planner's own counters are per-instance facts, so solving the
+   components on worker domains must sum them to the sequential
+   counts.  Multi-pool unions of 24-disk pools run the Γ search
+   (pools larger than [exact_limit]) and hetero on every pool. *)
+let test_planner_counts_parallel () =
+  let planner (name, _) =
+    String.starts_with ~prefix:"lower_bounds." name
+    || String.starts_with ~prefix:"hetero." name
+  in
+  let counts jobs =
+    M.Instr.reset ();
+    List.iter
+      (fun seed ->
+        ignore
+          (solve_at ~jobs ~seed
+             (Gen.instance
+                (Option.get (Gen.family_of_string "multipool"))
+                ~seed ~size:48)))
+      [ 1; 2; 3; 4 ];
+    List.filter planner (M.Instr.snapshot ()).M.Instr.counters
+  in
+  let seq = counts 1 in
+  Alcotest.(check bool)
+    "the search ran" true
+    (List.assoc "lower_bounds.search_steps" seq > 0);
+  Alcotest.(check (list (pair string int)))
+    (Printf.sprintf "--jobs %d = sequential" jobs_hi)
+    seq (counts jobs_hi)
+
 let family_tests =
   List.map
     (fun fam ->
@@ -250,6 +279,8 @@ let () =
       ("pipeline-families", family_tests);
       ( "pipeline-components",
         [
+          Alcotest.test_case "planner counts: --jobs N = sequential" `Quick
+            test_planner_counts_parallel;
           qtest "disjoint union: parallel = sequential" ~count:120
             multi_spec_gen prop_multi_component_jobs_independent;
         ] );
